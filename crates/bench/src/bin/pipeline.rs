@@ -30,8 +30,7 @@ use std::time::{Duration, Instant};
 use approx_hist::datasets::gaussian_mixture;
 use approx_hist::{
     Estimator, EstimatorBuilder, EventSource, GreedyMerging, HistClient, HistServer,
-    MaintenancePolicy, MetricPipeline, ServerConfig, ServerMode, Signal, StoreMap,
-    TelemetryPipeline,
+    MaintenancePolicy, MetricPipeline, ServerConfig, Signal, StoreMap, TelemetryPipeline,
 };
 
 const K: usize = 12;
@@ -88,11 +87,7 @@ fn run_sustained(duration: Duration, chunk_len: usize) -> SustainedRun {
     let server = HistServer::bind(
         "127.0.0.1:0",
         Arc::clone(&map),
-        ServerConfig {
-            mode: ServerMode::Evented,
-            connection_threads: 2,
-            ..ServerConfig::default()
-        },
+        ServerConfig { connection_threads: 2, ..ServerConfig::default() },
     )
     .expect("ephemeral bind");
     let addr = server.local_addr();

@@ -17,12 +17,15 @@
 //!   cost of the keyed lookup path (shard hash + HashMap probe + key section
 //!   on the wire) from the query itself.
 //! * **Connection sweep** — fleets of 1, 64 and 1024 concurrent pipelined
-//!   connections against BOTH server modes (thread-per-connection blocking
-//!   vs the evented readiness loop). Every connection ships 32 batch-1
-//!   quantile requests per write and drains 32 in-order responses, so the
-//!   sweep measures aggregate request throughput when per-request syscalls
-//!   are amortized away — the workload the evented mode exists for. Latency
-//!   columns report amortized per-request time inside a pipelined wave.
+//!   connections against BOTH poller backends of the event loop (the
+//!   platform's epoll and the forced portable poll(2) fallback). Every
+//!   connection ships 32 batch-1 quantile requests per write and drains 32
+//!   in-order responses, so the sweep measures aggregate request throughput
+//!   when per-request syscalls are amortized away. Latency columns report
+//!   amortized per-request time inside a pipelined wave.
+//!
+//! Every row names the poller backend it ran on: the batch and keyed sweeps
+//! use the default (platform) backend.
 //!
 //! A correctness gate cross-checks every batch against the local synopsis
 //! bit for bit before timing starts.
@@ -35,7 +38,7 @@ use std::time::{Duration, Instant};
 use approx_hist::net::{encode_request, read_message, Request, Response, DEFAULT_MAX_FRAME_BYTES};
 use approx_hist::{
     Estimator, EstimatorBuilder, GreedyMerging, HistClient, HistServer, Interval, ServerConfig,
-    ServerMode, Signal, StoreMap, Synopsis, DEFAULT_KEY,
+    Signal, StoreMap, Synopsis, DEFAULT_KEY,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -53,6 +56,10 @@ const CONN_COUNTS: [usize; 3] = [1, 64, 1024];
 const PIPELINE_DEPTH: usize = 32;
 /// Driver threads multiplexing the connection fleet.
 const CONN_SWEEP_THREADS: usize = 8;
+/// The poller backends the connection sweep compares, by row label and
+/// `ServerConfig::force_poll_backend` value. The platform backend is epoll
+/// on Linux.
+const BACKENDS: [(&str, bool); 2] = [("epoll", false), ("poll", true)];
 
 /// Smoke mode: shrink every sweep to seconds for CI.
 fn fast_mode() -> bool {
@@ -120,7 +127,7 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 
 struct Measurement {
     op: String,
-    mode: &'static str,
+    backend: &'static str,
     conns: usize,
     keys: usize,
     batch: usize,
@@ -129,13 +136,6 @@ struct Measurement {
     queries_per_s: f64,
     p50_us: f64,
     p99_us: f64,
-}
-
-fn mode_name(mode: ServerMode) -> &'static str {
-    match mode {
-        ServerMode::Blocking => "blocking",
-        ServerMode::Evented => "evented",
-    }
 }
 
 fn measure(
@@ -162,7 +162,7 @@ fn measure(
     latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
     let m = Measurement {
         op: op.to_string(),
-        mode: "blocking",
+        backend: BACKENDS[0].0,
         conns: 1,
         keys,
         batch,
@@ -286,7 +286,7 @@ fn connect_retrying(addr: SocketAddr) -> TcpStream {
 }
 
 /// The connection sweep: pipelined fleets of growing size against both
-/// server modes. Every connection writes `PIPELINE_DEPTH` identical batch-1
+/// poller backends. Every connection writes `PIPELINE_DEPTH` identical batch-1
 /// quantile requests in one syscall and drains the (fixed-size, in-order)
 /// responses; driver threads multiplex the fleet in waves so up to
 /// `conns * PIPELINE_DEPTH` requests are in flight at once.
@@ -300,15 +300,14 @@ fn conn_sweep(results: &mut Vec<Measurement>) {
     let wire: Vec<u8> =
         std::iter::repeat_with(|| request.clone()).take(PIPELINE_DEPTH).flatten().collect();
 
-    for mode in [ServerMode::Blocking, ServerMode::Evented] {
+    for (backend, force_poll_backend) in BACKENDS {
         for &conns in &conn_counts {
             let map = Arc::new(StoreMap::with_initial(synopsis.clone()));
+            // A small batch-worker pool: on a 2-core box more workers just
+            // thrash it.
             let config = ServerConfig {
-                mode,
-                // Blocking mode parks one worker on every live connection;
-                // evented mode needs only a small batch-worker pool (this
-                // box has one core — more workers just thrash it).
-                connection_threads: if mode == ServerMode::Blocking { conns + 1 } else { 2 },
+                force_poll_backend,
+                connection_threads: 2,
                 ..ServerConfig::default()
             };
             let server =
@@ -402,7 +401,7 @@ fn conn_sweep(results: &mut Vec<Measurement>) {
             latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
             let m = Measurement {
                 op: "pipelined_quantile".to_string(),
-                mode: mode_name(mode),
+                backend,
                 conns,
                 keys: 1,
                 batch: 1,
@@ -414,7 +413,7 @@ fn conn_sweep(results: &mut Vec<Measurement>) {
             };
             println!(
                 "{:>14} {:>9} conns {:>5}: {:>9.0} req/s | amortized p50 {:>7.2}us p99 {:>7.2}us",
-                m.op, m.mode, m.conns, m.requests_per_s, m.p50_us, m.p99_us
+                m.op, m.backend, m.conns, m.requests_per_s, m.p50_us, m.p99_us
             );
             results.push(m);
         }
@@ -427,19 +426,19 @@ fn main() {
     keyed_sweep(&mut results);
     conn_sweep(&mut results);
 
-    // The ISSUE's headline ratio: aggregate pipelined throughput at the
-    // largest evented fleet over the classic one-connection synchronous
-    // baseline measured in the same run.
+    // The headline ratio: aggregate pipelined throughput at the largest
+    // fleet over the classic one-connection synchronous baseline measured
+    // in the same run, both on the platform backend.
     let baseline =
         results.iter().find(|m| m.op == "quantile" && m.batch == 1).map(|m| m.requests_per_s);
     let peak = results
         .iter()
-        .filter(|m| m.op == "pipelined_quantile" && m.mode == "evented")
+        .filter(|m| m.op == "pipelined_quantile" && m.backend == BACKENDS[0].0)
         .max_by_key(|m| m.conns)
         .map(|m| (m.conns, m.requests_per_s));
     if let (Some(baseline), Some((conns, peak))) = (baseline, peak) {
         println!(
-            "evented {conns}-conn aggregate vs 1-conn sync baseline: {:.1}x ({:.0} vs {:.0} req/s)",
+            "{conns}-conn aggregate vs 1-conn sync baseline: {:.1}x ({:.0} vs {:.0} req/s)",
             peak / baseline,
             peak,
             baseline
@@ -452,7 +451,7 @@ fn main() {
             format!(
                 r#"    {{
       "op": "{}",
-      "mode": "{}",
+      "backend": "{}",
       "conns": {},
       "keys": {},
       "batch": {},
@@ -463,7 +462,7 @@ fn main() {
       "p99_latency_us": {:.2}
     }}"#,
                 m.op,
-                m.mode,
+                m.backend,
                 m.conns,
                 m.keys,
                 m.batch,
@@ -481,7 +480,7 @@ fn main() {
   "n": {N},
   "k": {K},
   "seed": {SEED},
-  "transport": "tcp loopback; batch/keyed sweeps: one synchronous connection; conn sweep: pipelined fleets vs both server modes",
+  "transport": "tcp loopback, one event-loop server; batch/keyed sweeps: one synchronous connection on the platform poller backend (epoll); conn sweep: pipelined fleets on both poller backends (epoll, forced poll(2))",
   "batch_sizes": [1, 64, 4096],
   "key_counts": [1, 1000, 100000],
   "conn_counts": [1, 64, 1024],

@@ -1,33 +1,32 @@
-//! Seeded serving benchmark: single- vs multi-thread construction and query
-//! throughput for the parallel/serving subsystem, written as JSON to
+//! Seeded serving benchmark: single- vs multi-thread construction and
+//! direct batch-query throughput for the parallel/serving subsystem, written as JSON to
 //! `BENCH_serve.json` at the workspace root (override with
 //! `HIST_BENCH_SERVE_OUT`).
 //!
 //! Construction compares the sequential `ChunkedFitter` against
 //! `ParallelChunkedFitter` at 1/2/4/8 worker threads on an `n = 2^20` seeded
 //! step signal, and verifies the parallel fit is bit-identical to the
-//! sequential one. Queries compare direct `mass_batch`/`quantile_batch`
-//! against the sharded `QueryExecutor` at the same thread counts.
+//! sequential one. Queries time direct `mass_batch`/`quantile_batch` calls
+//! on the shared fitted synopsis — the kernel every served request runs.
 //!
-//! Two speedup figures are reported for each side, and the JSON names the
+//! Two construction speedup figures are reported, and the JSON names the
 //! basis of each explicitly:
 //!
 //! * `wall_clock_*` — measured end-to-end wall time on *this* host. Only
 //!   meaningful when the host actually exposes ≥ t CPUs to the process.
-//! * `makespan_*` — the critical-path schedule length computed from the
-//!   *measured* per-chunk (resp. per-shard) times under the fitter's actual
+//! * `makespan_*` — a *model*: the critical-path schedule length computed
+//!   from the measured per-chunk times under the fitter's actual
 //!   contiguous-block assignment: `max` over workers of their summed work,
-//!   plus the sequential merge/recombine tail. This is what the wall clock
+//!   plus the sequential merge tail. This is what the wall clock
 //!   converges to on a host with enough CPUs, and is the honest scalability
 //!   number when the benchmark machine is smaller than the deployment target.
 
 use std::io::Write as _;
-use std::sync::Arc;
 
 use approx_hist::stream::merge_budget;
 use approx_hist::{
     ChunkedFitter, Estimator, EstimatorBuilder, GreedyMerging, Interval, ParallelChunkedFitter,
-    QueryExecutor, Signal, Synopsis,
+    Signal,
 };
 use hist_bench::timing::time_algorithm;
 use rand::rngs::StdRng;
@@ -59,8 +58,8 @@ fn seconds_of<T>(mut f: impl FnMut() -> T) -> f64 {
 
 /// Critical-path schedule length for `work` items distributed to `threads`
 /// workers in contiguous blocks of `ceil(len / threads)` — the assignment
-/// `ParallelChunkedFitter` and `QueryExecutor` actually use — plus a
-/// sequential `tail` (tree merge / result recombination).
+/// `ParallelChunkedFitter` actually uses — plus a sequential `tail` (the
+/// tree merge).
 fn makespan(work: &[f64], threads: usize, tail: f64) -> f64 {
     let block = work.len().div_ceil(threads.max(1));
     work.chunks(block).map(|b| b.iter().sum::<f64>()).fold(0.0f64, f64::max) + tail
@@ -118,8 +117,8 @@ fn main() {
     let wall_4 = wall.iter().find(|(t, _)| *t == 4).unwrap().1;
     let model_4 = model.iter().find(|(t, _)| *t == 4).unwrap().1;
 
-    // --- Queries: direct batch vs sharded executor.
-    let synopsis: Arc<Synopsis> = sequential_fit.into_shared();
+    // --- Queries: direct batches on the fitted synopsis.
+    let synopsis = sequential_fit;
     let mut rng = StdRng::seed_from_u64(SEED ^ 0xBA7C);
     let ranges: Vec<Interval> = (0..QUERIES)
         .map(|_| {
@@ -138,35 +137,6 @@ fn main() {
         QUERIES,
         2.0 * QUERIES as f64 / direct_s
     );
-
-    let mut query_wall = Vec::new();
-    let mut query_model = Vec::new();
-    for threads in THREAD_COUNTS {
-        let executor = QueryExecutor::new(threads);
-        let wall_s = seconds_of(|| {
-            executor.mass_batch(&synopsis, &ranges).unwrap();
-            executor.quantile_batch(&synopsis, &ps).unwrap();
-        });
-        // Per-shard times under the executor's contiguous slicing, run
-        // sequentially: the model is the slowest shard (recombination is a
-        // concatenation, folded into the measured shard loop here).
-        let shard_len = QUERIES.div_ceil(threads);
-        let mass_shards: Vec<f64> = ranges
-            .chunks(shard_len)
-            .map(|shard| seconds_of(|| synopsis.mass_batch(shard).unwrap()))
-            .collect();
-        let quantile_shards: Vec<f64> = ps
-            .chunks(shard_len)
-            .map(|shard| seconds_of(|| synopsis.quantile_batch(shard).unwrap()))
-            .collect();
-        let model_s = mass_shards.iter().fold(0.0f64, |a, &b| a.max(b))
-            + quantile_shards.iter().fold(0.0f64, |a, &b| a.max(b));
-        println!("queries: {threads} thread(s) wall {wall_s:.3}s | makespan model {model_s:.3}s");
-        query_wall.push((threads, wall_s));
-        query_model.push((threads, model_s));
-    }
-    let query_wall_4 = query_wall.iter().find(|(t, _)| *t == 4).unwrap().1;
-    let query_model_4 = query_model.iter().find(|(t, _)| *t == 4).unwrap().1;
 
     let host = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
     let (speedup_4, basis) = if host >= 4 {
@@ -205,11 +175,7 @@ fn main() {
   "query": {{
     "batch_queries": {total_queries},
     "direct_batch_s": {direct_s:.6},
-    "direct_throughput_qps": {direct_qps:.1},
-    "executor_wall_s": {query_wall_map},
-    "executor_makespan_s": {query_model_map},
-    "wall_clock_speedup_4_threads": {query_wall_speedup:.4},
-    "makespan_speedup_4_threads": {query_model_speedup:.4}
+    "direct_throughput_qps": {direct_qps:.1}
   }},
   "determinism": {{
     "parallel_fit_bit_identical_to_sequential": {identical}
@@ -222,10 +188,6 @@ fn main() {
         model_speedup = sequential_model_s / model_4,
         total_queries = 2 * QUERIES,
         direct_qps = 2.0 * QUERIES as f64 / direct_s,
-        query_wall_map = json_map(&query_wall),
-        query_model_map = json_map(&query_model),
-        query_wall_speedup = direct_s / query_wall_4,
-        query_model_speedup = direct_s / query_model_4,
     );
 
     let path = std::env::var("HIST_BENCH_SERVE_OUT").unwrap_or_else(|_| "BENCH_serve.json".into());

@@ -1,4 +1,4 @@
-//! The evented server mode: one readiness loop multiplexing every
+//! The server's event loop: one readiness loop multiplexing every
 //! connection over non-blocking sockets.
 //!
 //! ## Architecture
@@ -10,10 +10,10 @@
 //! per-connection read buffer and *pipeline*: every complete frame in the
 //! buffer is split off in one pass, so N requests written in one syscall
 //! become one batch. Batches execute off-loop on the shared `hist-serve`
-//! [`ThreadPool`] through the same [`Responder`] core the blocking mode
-//! uses; a finished batch hands its encoded responses back through a
-//! completion queue and wakes the loop via the poller's self-pipe
-//! ([`polling::Poller::notify`]).
+//! [`ThreadPool`] through the [`Responder`] core; a finished batch hands its
+//! encoded responses back through a completion queue and wakes the loop via
+//! the poller's self-pipe ([`polling::Poller::notify`]). A worker is held
+//! only while a batch runs, so idle connections cost no worker.
 //!
 //! ## Ordering
 //!
@@ -22,7 +22,7 @@
 //! queue in `inbox`, and a batch encodes all of its responses into a single
 //! staging buffer in order. A terminal error (oversized/short length prefix,
 //! exhausted request budget) is sequenced *after* every previously accepted
-//! frame's response, exactly where the blocking path would have emitted it.
+//! frame's response.
 //!
 //! ## Buffer reuse
 //!
@@ -38,12 +38,18 @@
 //!
 //! ## Close semantics
 //!
-//! Mirrors the blocking path frame-for-frame: envelope/decode errors are
-//! answered and the connection continues (the stream is still framed);
-//! framing errors and budget exhaustion are answered at the minimum
-//! protocol version, then the write side is half-closed and reads are
-//! drained for up to two seconds so the kernel delivers the final frame
-//! instead of clobbering it with an RST.
+//! Envelope/decode errors are answered and the connection continues (the
+//! stream is still framed); framing errors and budget exhaustion are
+//! answered at the minimum protocol version, then the write side is
+//! half-closed and reads are drained for up to two seconds so the kernel
+//! delivers the final frame instead of clobbering it with an RST.
+//!
+//! ## Descriptor exhaustion
+//!
+//! The listener is level-triggered, so an `accept` failing on a full fd
+//! table (`EMFILE`/`ENFILE`) would re-fire on every wait. Instead the loop
+//! drops the listener's interest and re-arms it one [`TICK`] later; pending
+//! peers wait in the kernel backlog until a descriptor frees up.
 
 #![cfg(unix)]
 
@@ -82,12 +88,16 @@ const MAX_WRITE_VECTORS: usize = 8;
 const SPARE_STAGING: usize = 2;
 
 /// How long a closing connection drains reads / a shutting-down server
-/// drains in-flight work — the same bound the blocking path uses.
+/// drains in-flight work.
 const DRAIN_GRACE: Duration = Duration::from_secs(2);
 
-/// Spawns the event-loop thread. Mirrors what `HistServer::bind` needs:
-/// the returned handle joins on shutdown, `write_allocs` counts write-path
-/// allocations for the buffer-reuse guarantee.
+/// Longest single poller wait: the cadence of the shutdown check, the
+/// drain-deadline sweep and the accept re-arm after descriptor exhaustion.
+const TICK: Duration = Duration::from_millis(25);
+
+/// Spawns the event-loop thread: the returned handle joins on shutdown,
+/// `write_allocs` counts write-path allocations for the buffer-reuse
+/// guarantee.
 pub(crate) fn spawn(
     listener: TcpListener,
     responder: Arc<Responder>,
@@ -123,6 +133,7 @@ pub(crate) fn spawn(
         scratch: vec![0u8; READ_CHUNK],
         stopping: None,
         draining: 0,
+        accept_resume: None,
     };
     std::thread::Builder::new().name("hist-net-evented".into()).spawn(move || event_loop.run())
 }
@@ -273,18 +284,26 @@ struct EventLoop {
     /// lets the per-tick deadline sweep skip the slab entirely in the
     /// overwhelmingly common case of zero draining connections.
     draining: usize,
+    /// Set while accepting is paused on descriptor exhaustion: when to
+    /// re-arm the listener's interest.
+    accept_resume: Option<Instant>,
 }
 
 impl EventLoop {
     fn run(&mut self) {
         let mut events = Events::with_capacity(1024);
         loop {
-            let _ = self.poller.wait(&mut events, Some(self.config.poll_interval));
+            let _ = self.poller.wait(&mut events, Some(TICK));
             if self.stopping.is_none() && self.shutdown.load(Ordering::Acquire) {
                 // Stop accepting and dispatching; give in-flight batches and
                 // queued responses a bounded window to reach the wire.
                 self.stopping = Some(Instant::now() + DRAIN_GRACE);
                 let _ = self.poller.delete(self.listener.as_raw_fd());
+            }
+            if self.stopping.is_none() && self.accept_resume.is_some_and(|at| Instant::now() >= at)
+            {
+                self.accept_resume = None;
+                self.set_listener_interest(true);
             }
             self.apply_completions();
             for event in events.iter() {
@@ -313,10 +332,22 @@ impl EventLoop {
             let stream = match self.listener.accept() {
                 Ok((stream, _)) => stream,
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                // Transient resource errors (EMFILE): leave the rest for the
-                // next readiness tick instead of hot-looping.
-                Err(_) => return,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::Interrupted | ErrorKind::ConnectionAborted
+                    ) =>
+                {
+                    continue
+                }
+                // Resource exhaustion (EMFILE/ENFILE/ENOBUFS): the listener
+                // stays readable, so pause its interest for a tick instead
+                // of spinning on the same failure.
+                Err(_) => {
+                    self.set_listener_interest(false);
+                    self.accept_resume = Some(Instant::now() + TICK);
+                    return;
+                }
             };
             if stream.set_nonblocking(true).is_err() {
                 continue;
@@ -337,6 +368,12 @@ impl EventLoop {
         }
     }
 
+    /// Arms or pauses readability interest on the listening socket.
+    fn set_listener_interest(&self, readable: bool) {
+        let event = Event { key: LISTENER_KEY, readable, writable: false };
+        let _ = self.poller.modify(self.listener.as_raw_fd(), event);
+    }
+
     /// Routes one readiness event for a connection socket. Stale keys (the
     /// connection closed earlier in this same tick) are ignored.
     fn handle_socket(&mut self, event: Event) {
@@ -355,9 +392,8 @@ impl EventLoop {
     fn read_ready(&mut self, token: usize) -> bool {
         let conn = self.slots[token].conn.as_mut().expect("checked by caller");
         if conn.fatal.is_some() || conn.fatal_queued {
-            // Terminal: discard inbound bytes (the blocking path's
-            // post-error drain) so the peer's writes keep completing and
-            // the final frame is deliverable.
+            // Terminal: discard inbound bytes so the peer's writes keep
+            // completing and the final frame is deliverable.
             let mut scratch = [0u8; 4096];
             loop {
                 match conn.stream.read(&mut scratch) {
@@ -393,8 +429,8 @@ impl EventLoop {
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(_) => {
-                    // A failed socket with nobody left to answer: same
-                    // silent teardown as the blocking path's `Fill::Failed`.
+                    // A failed socket with nobody left to answer: tear
+                    // down silently.
                     self.close(token);
                     return false;
                 }
@@ -449,8 +485,7 @@ impl EventLoop {
                 if let Err(e) = encode_response_into(version, &response, &mut staging) {
                     // A response kind the mirrored version cannot express —
                     // unreachable by construction (v2-only responses only
-                    // answer v2-only requests), but kept total, exactly as
-                    // the blocking path's send fallback.
+                    // answer v2-only requests), but kept total.
                     let fallback = Response::Error {
                         epoch: 0,
                         code: ErrorCode::MalformedFrame,
@@ -472,8 +507,7 @@ impl EventLoop {
     }
 
     /// Once every previously accepted frame has been answered, emits the
-    /// pending terminal error frame and marks the connection as draining —
-    /// the evented mirror of the blocking `send_and_close`.
+    /// pending terminal error frame and marks the connection as draining.
     fn maybe_queue_fatal(&mut self, token: usize) {
         let conn = self.slots[token].conn.as_mut().expect("live connection");
         if conn.busy || !conn.ranges.is_empty() {
@@ -654,10 +688,9 @@ fn recycle_staging(conn: &mut Conn, mut buf: Vec<u8>) {
 
 /// Marks every complete frame in `rbuf` as a `(start, len)` range in
 /// `ranges` — zero-copy; dispatch hands the buffer itself to the worker —
-/// enforcing the same guards in the same order as the blocking `read_frame`:
-/// oversized announcement, short announcement, then the per-connection
-/// request budget — each producing a terminal error sequenced after the
-/// accepted frames.
+/// enforcing, in order: oversized announcement, short announcement, then the
+/// per-connection request budget — each producing a terminal error sequenced
+/// after the accepted frames.
 fn parse_frames(conn: &mut Conn, config: &ServerConfig, responder: &Responder) {
     if conn.fatal.is_some() || conn.fatal_queued {
         conn.rbuf.clear();

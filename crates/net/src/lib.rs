@@ -10,12 +10,11 @@
 //! the loop: a [`HistServer`] serves the keyed
 //! [`StoreMap`](hist_serve::StoreMap) (one epoch/snapshot store per
 //! tenant/metric key — reads wait-free, writes serialized per key, every
-//! response stamped with the snapshot epoch) in either of two I/O modes
-//! behind one API — thread-per-connection blocking I/O
-//! ([`ServerMode::Blocking`]) or a pipelining epoll/poll readiness loop
-//! ([`ServerMode::Evented`], see [`evented`]) — and a blocking [`HistClient`]
-//! exposes batch helpers whose answers are **bit-identical** to querying the
-//! local [`Synopsis`](hist_core::Synopsis) directly — `f64`s travel as raw
+//! response stamped with the snapshot epoch) from one pipelining epoll/poll
+//! readiness loop (see [`evented`]) whose request batches run on a small
+//! worker pool, and a blocking [`HistClient`] exposes batch helpers whose
+//! answers are **bit-identical** to querying the local
+//! [`Synopsis`](hist_core::Synopsis) directly — `f64`s travel as raw
 //! IEEE-754 bits, and published synopses ship in the `hist-persist`
 //! `AHISTSYN` encoding whose decode path is already proven bit-exact.
 //!
@@ -119,4 +118,4 @@ pub use proto::{
     encode_response_into, encode_response_versioned, ErrorCode, Request, Response, StoreWideStats,
     SynopsisStats,
 };
-pub use server::{HistServer, ServerConfig, ServerMode};
+pub use server::{HistServer, ServerConfig};

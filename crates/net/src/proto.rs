@@ -549,9 +549,9 @@ pub fn encode_response_versioned(version: u16, response: &Response) -> CodecResu
 
 /// Appends a complete response wire message (length prefix included) onto
 /// `out`, building the frame in place: no intermediate payload `Vec`, and no
-/// allocation at all once `out` has warmed-up capacity. This is the evented
-/// server's steady-state write path; [`encode_response_versioned`] delegates
-/// here, so both server modes emit byte-identical frames by construction.
+/// allocation at all once `out` has warmed-up capacity. This is the server's
+/// steady-state write path; [`encode_response_versioned`] delegates here, so
+/// both emit byte-identical frames by construction.
 /// On error `out` is restored to its original length.
 pub fn encode_response_into(
     version: u16,

@@ -1,24 +1,14 @@
-//! The serving side: a TCP server over a shared keyed [`StoreMap`], in one
-//! of two I/O modes behind the same [`HistServer`] API.
+//! The serving side: a TCP server over a shared keyed [`StoreMap`].
 //!
-//! * [`ServerMode::Blocking`] (the default): one accept thread; each
-//!   accepted connection is dispatched onto the crate-shared [`ThreadPool`]
-//!   from `hist-serve`, where a handler loops over framed requests with
-//!   blocking reads.
-//! * [`ServerMode::Evented`]: a single readiness loop (epoll(7) on Linux,
-//!   portable poll(2) fallback) multiplexes every connection over
-//!   non-blocking sockets with request pipelining and reused write buffers;
-//!   request batches still execute on the `hist-serve` [`ThreadPool`]. See
-//!   [`crate::evented`].
-//!
-//! In either mode, reads go through an epoch-stamped snapshot of the
-//! addressed key's store (wait-free in practice), batch queries are sharded
-//! through a [`QueryExecutor`], and admin writes (`Publish`/`UpdateMerge`)
-//! serialize on the addressed store's writer path — exactly the concurrency
-//! contract the in-process serving layer already guarantees, now over the
-//! wire and per key. Both modes answer every byte stream with byte-identical
-//! frames: they share one request→response core ([`Responder`] +
-//! `answer_frame`) and one in-place frame encoder.
+//! One readiness loop (epoll(7) on Linux, portable poll(2) fallback; see
+//! [`crate::evented`]) multiplexes every connection over non-blocking
+//! sockets with request pipelining and reused write buffers. Parsed request
+//! batches execute on the `hist-serve` [`ThreadPool`] through [`Responder`],
+//! which answers queries straight from the flat kernel of an epoch-stamped
+//! snapshot of the addressed key's store (wait-free in practice). Admin
+//! writes (`Publish`/`UpdateMerge`) serialize on the addressed store's writer
+//! path — exactly the concurrency contract the in-process serving layer
+//! already guarantees, now over the wire and per key.
 //!
 //! ## Protocol versions
 //!
@@ -44,53 +34,29 @@
 //! closed where it is not (a length prefix that is oversized or shorter
 //! than an envelope, or an exhausted request budget).
 
-use std::io::{ErrorKind, Read};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::ErrorKind;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 use hist_core::Interval;
 use hist_persist::{decode_synopsis, encode_synopsis, CodecError};
-use hist_serve::{MaintenancePolicy, QueryExecutor, Snapshot, StoreMap, ThreadPool, DEFAULT_KEY};
+use hist_serve::{MaintenancePolicy, Snapshot, StoreMap, ThreadPool, DEFAULT_KEY};
 
-use crate::frame::{
-    check_envelope, write_message, ENVELOPE_BYTES, LENGTH_PREFIX_BYTES, MIN_PROTOCOL_VERSION,
-};
+use crate::frame::{check_envelope, MIN_PROTOCOL_VERSION};
 use crate::proto::{
-    decode_request_frame, encode_response_versioned, ErrorCode, Request, Response, StoreWideStats,
-    SynopsisStats,
+    decode_request_frame, ErrorCode, Request, Response, StoreWideStats, SynopsisStats,
 };
-
-/// How a [`HistServer`] drives its sockets. Both modes speak the identical
-/// wire protocol through the same request→response core, so clients cannot
-/// tell them apart byte-for-byte; the dual-mode integration suites assert
-/// exactly that.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServerMode {
-    /// Thread-per-connection blocking I/O: each connection owns one
-    /// [`ServerConfig::connection_threads`] pool worker for its lifetime.
-    /// Simple, portable, and the conservative default.
-    #[default]
-    Blocking,
-    /// One evented readiness loop (epoll(7) on Linux, poll(2) fallback)
-    /// multiplexing every connection over non-blocking sockets: request
-    /// pipelining, vectored writes, reused response buffers. Scales to
-    /// thousands of connections; Unix only.
-    Evented,
-}
 
 /// Tuning knobs of a [`HistServer`]. The defaults serve tests and examples;
 /// production deployments mostly care about `max_frame_bytes` (hostile-peer
-/// allocation bound) and the two thread counts.
+/// allocation bound) and `connection_threads`.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Socket-driving strategy; see [`ServerMode`].
-    pub mode: ServerMode,
-    /// Evented mode only: force the portable poll(2) backend even where a
-    /// better platform backend (epoll) exists. Exists so tests can cover the
-    /// fallback path on any host.
+    /// Force the portable poll(2) backend even where a better platform
+    /// backend (epoll) exists. Exists so tests can cover the fallback path
+    /// on any host.
     pub force_poll_backend: bool,
     /// Largest frame accepted from a peer; larger announcements are rejected
     /// before any allocation. (Response frames the server *builds* are not
@@ -100,17 +66,10 @@ pub struct ServerConfig {
     /// Requests a single connection may issue before the server answers a
     /// typed [`ErrorCode::RequestLimit`] frame and closes it.
     pub max_requests_per_connection: u64,
-    /// Workers in the connection pool. Blocking mode: a connection holds its
-    /// worker for its whole lifetime (= connections served concurrently), so
-    /// size it to the expected number of simultaneous clients. Evented mode:
-    /// these workers execute pipelined request batches handed off by the
-    /// event loop, so a handful serve thousands of connections.
+    /// Workers executing the pipelined request batches the event loop hands
+    /// off. A worker is held only while a batch runs, never for a
+    /// connection's lifetime, so a handful serve thousands of connections.
     pub connection_threads: usize,
-    /// Workers in the batch-query executor shared by all connections.
-    pub query_threads: usize,
-    /// Socket read timeout used to poll the shutdown flag between requests;
-    /// bounds how long a graceful shutdown waits for idle connections.
-    pub poll_interval: Duration,
     /// Self-tuning maintenance policy applied to the served [`StoreMap`] at
     /// bind time: every key then refits/compacts in the background once its
     /// merge-error budget is spent. `None` (the default) serves merge-only.
@@ -123,24 +82,21 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
-            mode: ServerMode::default(),
             force_poll_backend: false,
             max_frame_bytes: crate::frame::DEFAULT_MAX_FRAME_BYTES,
             max_requests_per_connection: u64::MAX,
             connection_threads: 4,
-            query_threads: 4,
-            poll_interval: Duration::from_millis(25),
             maintenance: None,
             maintenance_threads: 1,
         }
     }
 }
 
-/// A running multi-tenant synopsis server: accept loop + connection pool
-/// over a shared keyed [`StoreMap`].
+/// A running multi-tenant synopsis server: one event-loop thread plus a
+/// batch worker pool over a shared keyed [`StoreMap`].
 ///
 /// Dropping the server (or calling [`HistServer::shutdown`]) stops accepting,
-/// wakes every idle connection handler and joins all threads — no detached
+/// lets in-flight batches reach the wire and joins all threads — no detached
 /// threads outlive the value.
 ///
 /// ```no_run
@@ -157,11 +113,10 @@ impl Default for ServerConfig {
 pub struct HistServer {
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
+    event_loop: Option<JoinHandle<()>>,
     pool: Option<Arc<ThreadPool>>,
     map: Arc<StoreMap>,
-    mode: ServerMode,
-    write_allocs: Option<Arc<AtomicU64>>,
+    write_allocs: Arc<AtomicU64>,
 }
 
 impl std::fmt::Debug for HistServer {
@@ -177,7 +132,9 @@ impl std::fmt::Debug for HistServer {
 
 impl HistServer {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts serving
-    /// `map` immediately, in the I/O mode `config.mode` selects.
+    /// `map` immediately. Requires a Unix host (the event loop runs on
+    /// epoll(7) or poll(2)); elsewhere this returns
+    /// [`ErrorKind::Unsupported`].
     pub fn bind(
         addr: impl ToSocketAddrs,
         map: Arc<StoreMap>,
@@ -191,75 +148,32 @@ impl HistServer {
         }
         let shutdown = Arc::new(AtomicBool::new(false));
         let pool = Arc::new(ThreadPool::new(config.connection_threads));
-        let executor = Arc::new(QueryExecutor::new(config.query_threads));
-        let responder = Arc::new(Responder { map: Arc::clone(&map), executor });
-        let mode = config.mode;
-        let (accept, write_allocs) = match mode {
-            ServerMode::Blocking => {
-                (Self::spawn_blocking(listener, responder, &shutdown, &pool, config)?, None)
-            }
-            #[cfg(unix)]
-            ServerMode::Evented => {
-                let allocs = Arc::new(AtomicU64::new(0));
-                let handle = crate::evented::spawn(
-                    listener,
-                    responder,
-                    Arc::clone(&shutdown),
-                    Arc::clone(&pool),
-                    config,
-                    Arc::clone(&allocs),
-                )?;
-                (handle, Some(allocs))
-            }
-            #[cfg(not(unix))]
-            ServerMode::Evented => {
-                return Err(std::io::Error::new(
-                    ErrorKind::Unsupported,
-                    "ServerMode::Evented requires a Unix host; use ServerMode::Blocking",
-                ));
-            }
+        let responder = Arc::new(Responder { map: Arc::clone(&map) });
+        let write_allocs = Arc::new(AtomicU64::new(0));
+        #[cfg(unix)]
+        let event_loop = crate::evented::spawn(
+            listener,
+            responder,
+            Arc::clone(&shutdown),
+            Arc::clone(&pool),
+            config,
+            Arc::clone(&write_allocs),
+        )?;
+        #[cfg(not(unix))]
+        let event_loop: JoinHandle<()> = {
+            let _ = (listener, responder, config);
+            return Err(std::io::Error::new(
+                ErrorKind::Unsupported,
+                "HistServer requires a Unix host (epoll or poll(2))",
+            ));
         };
         Ok(Self {
             local_addr,
             shutdown,
-            accept: Some(accept),
+            event_loop: Some(event_loop),
             pool: Some(pool),
             map,
-            mode,
             write_allocs,
-        })
-    }
-
-    /// Spawns the blocking accept loop: every accepted connection takes a
-    /// pool worker for its lifetime.
-    fn spawn_blocking(
-        listener: TcpListener,
-        responder: Arc<Responder>,
-        shutdown: &Arc<AtomicBool>,
-        pool: &Arc<ThreadPool>,
-        config: ServerConfig,
-    ) -> std::io::Result<JoinHandle<()>> {
-        let shutdown = Arc::clone(shutdown);
-        let pool = Arc::clone(pool);
-        std::thread::Builder::new().name("hist-net-accept".into()).spawn(move || {
-            for stream in listener.incoming() {
-                if shutdown.load(Ordering::Acquire) {
-                    break;
-                }
-                let Ok(stream) = stream else {
-                    // Persistent accept errors (EMFILE under fd
-                    // exhaustion) return immediately: back off instead
-                    // of hot-looping exactly when the host is starved.
-                    std::thread::sleep(Duration::from_millis(10));
-                    continue;
-                };
-                let shutdown = Arc::clone(&shutdown);
-                let responder = Arc::clone(&responder);
-                let config = config.clone();
-                pool.execute(move || {
-                    Connection { stream, responder, config, shutdown }.run();
-                });
-            }
         })
     }
 
@@ -276,48 +190,27 @@ impl HistServer {
         &self.map
     }
 
-    /// The I/O mode this server was bound in.
+    /// How many times the response write path has had to allocate (grow a
+    /// staging buffer, mint a fresh one because the reuse pool ran dry, or
+    /// grow a queue container) since bind. Flat across a warmed-up steady
+    /// state — the buffer-reuse guarantee the event loop makes — and
+    /// asserted flat by the `net_evented` suite.
     #[inline]
-    pub fn mode(&self) -> ServerMode {
-        self.mode
+    pub fn write_path_allocations(&self) -> u64 {
+        self.write_allocs.load(Ordering::Acquire)
     }
 
-    /// Evented mode: how many times the response write path has had to
-    /// allocate (grow a staging buffer, mint a fresh one because the reuse
-    /// pool ran dry, or grow a queue container) since bind. Flat across a
-    /// warmed-up steady state — the buffer-reuse guarantee the evented
-    /// design makes — and asserted flat by the `net_evented` suite. `None`
-    /// in blocking mode, which allocates one message per response by design.
-    #[inline]
-    pub fn write_path_allocations(&self) -> Option<u64> {
-        self.write_allocs.as_ref().map(|counter| counter.load(Ordering::Acquire))
-    }
-
-    /// Graceful shutdown: stop accepting, let in-flight requests finish,
-    /// wake idle connection handlers (they poll the shutdown flag on the
-    /// [`ServerConfig::poll_interval`] read timeout) and join every thread.
-    /// Idempotent; also invoked by `Drop`.
+    /// Graceful shutdown: stop accepting, give in-flight batches and queued
+    /// responses a bounded window to reach the wire, and join every thread.
+    /// The event loop observes the request within one wait tick. Idempotent;
+    /// also invoked by `Drop`.
     pub fn shutdown(&mut self) {
-        if self.accept.is_none() && self.pool.is_none() {
-            return;
-        }
         self.shutdown.store(true, Ordering::Release);
-        // Wake the blocking accept call with a throwaway connection. A
-        // wildcard bind address (0.0.0.0 / ::) is not itself connectable
-        // everywhere, so the waker targets loopback on the bound port.
-        let mut wake_addr = self.local_addr;
-        if wake_addr.ip().is_unspecified() {
-            wake_addr.set_ip(match wake_addr {
-                SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
-                SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
-            });
+        if let Some(event_loop) = self.event_loop.take() {
+            let _ = event_loop.join();
         }
-        let _ = TcpStream::connect_timeout(&wake_addr, Duration::from_secs(1));
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        // The accept thread has exited, so this is the last Arc: dropping it
-        // joins the pool workers, whose handlers exit on the shutdown flag.
+        // The loop has exited, so this is the last Arc: dropping it joins
+        // the pool workers once their queued batches are done.
         self.pool.take();
     }
 }
@@ -328,165 +221,11 @@ impl Drop for HistServer {
     }
 }
 
-/// Outcome of one incremental read attempt.
-enum Fill {
-    /// The buffer is full.
-    Done,
-    /// The peer closed the stream.
-    Eof,
-    /// The read timed out (poll the shutdown flag and retry).
-    Timeout,
-    /// The socket failed.
-    Failed,
-}
-
-/// One accepted connection, running on a pool worker (blocking mode).
-struct Connection {
-    stream: TcpStream,
-    responder: Arc<Responder>,
-    config: ServerConfig,
-    shutdown: Arc<AtomicBool>,
-}
-
-impl Connection {
-    fn run(mut self) {
-        let _ = self.stream.set_read_timeout(Some(self.config.poll_interval));
-        let _ = self.stream.set_nodelay(true);
-        let mut served = 0u64;
-        loop {
-            let frame = match self.read_frame() {
-                Ok(Some(frame)) => frame,
-                // Clean close, peer gone, or shutdown: nothing left to say.
-                Ok(None) => return,
-                // Framing errors desynchronize the stream: answer with a
-                // typed error frame, then close. The version is unknowable
-                // here, so the answer goes out at the minimum version.
-                Err(response) => return self.send_and_close(MIN_PROTOCOL_VERSION, &response),
-            };
-            if served >= self.config.max_requests_per_connection {
-                let response =
-                    self.responder.budget_exceeded_error(self.config.max_requests_per_connection);
-                return self.send_and_close(MIN_PROTOCOL_VERSION, &response);
-            }
-            served += 1;
-            let (version, response) = answer_frame(&self.responder, &frame);
-            if !self.send(version, &response) {
-                return;
-            }
-        }
-    }
-
-    /// Reads one length-prefixed frame, polling the shutdown flag on read
-    /// timeouts. `Ok(None)` means the connection is over (clean EOF, socket
-    /// failure, or shutdown); `Err(response)` carries the typed error frame
-    /// to send before closing (frame too large / truncated announcement).
-    fn read_frame(&mut self) -> Result<Option<Vec<u8>>, Response> {
-        let mut prefix = [0u8; LENGTH_PREFIX_BYTES];
-        let mut got = 0usize;
-        loop {
-            match self.fill(&mut prefix, &mut got) {
-                Fill::Done => break,
-                // EOF before any prefix byte is a clean close; EOF inside
-                // the prefix means the peer gave up mid-message — nobody is
-                // left to read an error frame either way.
-                Fill::Eof | Fill::Failed => return Ok(None),
-                Fill::Timeout => {
-                    if self.shutdown.load(Ordering::Acquire) {
-                        return Ok(None);
-                    }
-                }
-            }
-        }
-        let len = u32::from_le_bytes(prefix) as usize;
-        if len > self.config.max_frame_bytes {
-            return Err(self.responder.oversized_frame_error(len, self.config.max_frame_bytes));
-        }
-        if len < ENVELOPE_BYTES {
-            return Err(self.responder.short_frame_error(len));
-        }
-        let mut frame = vec![0u8; len];
-        let mut filled = 0usize;
-        loop {
-            match self.fill(&mut frame, &mut filled) {
-                Fill::Done => return Ok(Some(frame)),
-                Fill::Eof | Fill::Failed => return Ok(None),
-                Fill::Timeout => {
-                    if self.shutdown.load(Ordering::Acquire) {
-                        return Ok(None);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Advances `filled` toward `buf.len()`, mapping socket conditions to
-    /// [`Fill`] outcomes.
-    fn fill(&mut self, buf: &mut [u8], filled: &mut usize) -> Fill {
-        while *filled < buf.len() {
-            match self.stream.read(&mut buf[*filled..]) {
-                Ok(0) => return Fill::Eof,
-                Ok(n) => *filled += n,
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    return Fill::Timeout
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return Fill::Failed,
-            }
-        }
-        Fill::Done
-    }
-
-    /// Writes a response at the version the request announced (mirroring);
-    /// `false` means the peer is gone. A response kind the mirrored version
-    /// cannot express falls back to a malformed-frame error at that version
-    /// — unreachable by construction, since v2-only responses only answer
-    /// v2-only requests, but the fallback keeps the handler total.
-    fn send(&mut self, version: u16, response: &Response) -> bool {
-        let message = encode_response_versioned(version, response).unwrap_or_else(|e| {
-            let fallback = Response::Error {
-                epoch: 0,
-                code: ErrorCode::MalformedFrame,
-                message: e.to_string(),
-            };
-            encode_response_versioned(MIN_PROTOCOL_VERSION, &fallback)
-                .expect("an error frame encodes at every version")
-        });
-        write_message(&mut self.stream, &message).is_ok()
-    }
-
-    /// Sends a final response, then closes *gracefully*: half-close the
-    /// write side and drain whatever the peer already pipelined, so the
-    /// kernel delivers the last frame instead of clobbering it with an RST
-    /// (closing a socket with unread bytes resets the connection and
-    /// discards data the peer has not consumed yet).
-    fn send_and_close(mut self, version: u16, response: &Response) {
-        let _ = self.send(version, response);
-        let _ = self.stream.shutdown(Shutdown::Write);
-        let deadline = Instant::now() + Duration::from_secs(2);
-        let mut scratch = [0u8; 4096];
-        while Instant::now() < deadline {
-            match self.stream.read(&mut scratch) {
-                Ok(0) => return,
-                Ok(_) => continue,
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    if self.shutdown.load(Ordering::Acquire) {
-                        return;
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            }
-        }
-    }
-}
-
-/// The request→response core both server modes share: a decoded request in,
-/// a typed response out, over the shared [`StoreMap`] and [`QueryExecutor`].
-/// Owning this logic in one place is what makes the two modes byte-identical
-/// on every input the dual-mode suites replay.
+/// The request→response core: a decoded request in, a typed response out,
+/// over the shared [`StoreMap`]. Batch queries run on the calling pool
+/// worker, straight through the snapshot's flat kernel.
 pub(crate) struct Responder {
     pub(crate) map: Arc<StoreMap>,
-    pub(crate) executor: Arc<QueryExecutor>,
 }
 
 /// Answers one complete frame (the bytes after the length prefix): envelope
@@ -582,7 +321,7 @@ impl Responder {
                             }
                         }
                     }
-                    match self.executor.cdf_batch(snapshot.synopsis(), &indices) {
+                    match snapshot.synopsis().cdf_batch(&indices) {
                         Ok(values) => Response::CdfBatch { epoch: snapshot.epoch(), values },
                         Err(e) => self.keyed_error(&key, ErrorCode::InvalidQuery, e.to_string()),
                     }
@@ -590,7 +329,7 @@ impl Responder {
             },
             Request::QuantileBatch { key, ps } => match self.snapshot(&key) {
                 Err(e) => e,
-                Ok(snapshot) => match self.executor.quantile_batch(snapshot.synopsis(), &ps) {
+                Ok(snapshot) => match snapshot.synopsis().quantile_batch(&ps) {
                     Ok(indices) => Response::QuantileBatch {
                         epoch: snapshot.epoch(),
                         indices: indices.into_iter().map(|i| i as u64).collect(),
@@ -618,7 +357,7 @@ impl Responder {
                             }
                         }
                     }
-                    match self.executor.mass_batch(snapshot.synopsis(), &ranges) {
+                    match snapshot.synopsis().mass_batch(&ranges) {
                         Ok(masses) => Response::MassBatch { epoch: snapshot.epoch(), masses },
                         Err(e) => self.keyed_error(&key, ErrorCode::InvalidQuery, e.to_string()),
                     }

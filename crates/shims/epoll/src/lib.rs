@@ -37,8 +37,7 @@ pub use unix_imp::{Backend, Events, Poller};
 #[cfg(not(unix))]
 mod imp {
     //! Non-Unix stub: construction reports the platform gap as a plain
-    //! `io::Error`, so callers (the evented server) can fall back to
-    //! blocking mode instead of failing to compile.
+    //! `io::Error` instead of failing to compile.
     use std::io;
     use std::time::Duration;
 

@@ -1,7 +1,7 @@
 //! The concurrent serving layer end to end: build a synopsis in parallel
 //! with `ParallelChunkedFitter`, publish it into a `SynopsisStore`, then let
-//! a background refitter merge fresh chunks in while reader threads answer
-//! sharded batch queries from live snapshots.
+//! a background refitter merge fresh chunks in while a reader answers batch
+//! queries from live snapshots.
 //!
 //! ```text
 //! cargo run --release --example concurrent_serve
@@ -9,9 +9,7 @@
 
 use std::sync::Arc;
 
-use approx_hist::{
-    Estimator, EstimatorBuilder, EstimatorKind, Interval, QueryExecutor, Signal, SynopsisStore,
-};
+use approx_hist::{Estimator, EstimatorBuilder, EstimatorKind, Interval, Signal, SynopsisStore};
 
 fn chunk_signal(lo: usize, len: usize) -> Signal {
     let values: Vec<f64> = (lo..lo + len)
@@ -41,7 +39,6 @@ fn main() {
     // --- Serving: a store snapshot per reader, a background refitter merging
     //     fresh chunks in under the live readers.
     let store = Arc::new(SynopsisStore::with_initial(parallel));
-    let executor = QueryExecutor::new(4);
     let fitter = EstimatorKind::ParallelChunked.build(builder);
 
     let writer = {
@@ -65,9 +62,8 @@ fn main() {
                 Interval::new(start, start + domain / 300).expect("in-domain range")
             })
             .collect();
-        let masses = executor.mass_batch(snapshot.synopsis(), &ranges).expect("in-domain ranges");
-        let quartiles =
-            executor.quantile_batch(snapshot.synopsis(), &[0.25, 0.5, 0.75]).expect("valid ps");
+        let masses = snapshot.mass_batch(&ranges).expect("in-domain ranges");
+        let quartiles = snapshot.quantile_batch(&[0.25, 0.5, 0.75]).expect("valid ps");
         served += masses.len() + quartiles.len();
         if writer.is_finished() {
             println!(

@@ -78,8 +78,7 @@
 //!   background refitter, durable via `save`/`open`), the multi-tenant
 //!   [`StoreMap`] (many keyed stores behind sharded locks, with key
 //!   listing/eviction, an on-demand tree-merged global view and whole-map
-//!   persistence) and [`QueryExecutor`] (batched queries sharded over a
-//!   fixed thread pool);
+//!   persistence) and the self-tuning maintenance layer;
 //! * [`persist`] (`hist-persist`) — the persistent synopsis format: a
 //!   versioned, CRC-checked binary codec ([`encode_synopsis`] /
 //!   [`decode_synopsis`], panic-free on arbitrary bytes) with file helpers
@@ -122,8 +121,8 @@ pub use hist_core::{
     Signal, Synopsis,
 };
 pub use hist_net::{
-    ErrorCode, HistClient, HistServer, NetError, ServerConfig, ServerMode, Stamped, StoreStats,
-    StoreWideStats, SynopsisStats,
+    ErrorCode, HistClient, HistServer, NetError, ServerConfig, Stamped, StoreStats, StoreWideStats,
+    SynopsisStats,
 };
 pub use hist_persist::{
     decode_store_map, decode_store_snapshot, decode_stream_checkpoint, decode_synopsis,
@@ -137,8 +136,8 @@ pub use hist_pipeline::{
 pub use hist_poly::PiecewisePoly;
 pub use hist_sampling::SampleLearner;
 pub use hist_serve::{
-    MaintenancePolicy, MaintenanceStats, MaintenanceWorker, MergedView, QueryExecutor, Snapshot,
-    StoreMap, StoreMapStats, SynopsisStore, DEFAULT_KEY,
+    MaintenancePolicy, MaintenanceStats, MaintenanceWorker, MergedView, Snapshot, StoreMap,
+    StoreMapStats, SynopsisStore, DEFAULT_KEY,
 };
 pub use hist_stream::{
     ChunkedFitter, ParallelChunkedFitter, SlidingWindow, StreamingBuilder, StreamingMerging,

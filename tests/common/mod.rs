@@ -10,46 +10,103 @@
 // Each test binary compiles its own copy of this module and uses a subset.
 #![allow(dead_code)]
 
+use std::net::TcpStream;
+use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use approx_hist::{
-    Estimator, EstimatorBuilder, HistServer, ServerConfig, ServerMode, Signal, StoreMap,
-};
+use approx_hist::{Estimator, EstimatorBuilder, HistServer, ServerConfig, Signal, StoreMap};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Both server I/O modes, for suites that must prove the evented path
-/// behaves byte-for-byte like the blocking one.
-pub const SERVER_MODES: [ServerMode; 2] = [ServerMode::Blocking, ServerMode::Evented];
-
-/// The shared server config of the dual-mode net suites: everything default
-/// except the I/O mode and the connection worker count (blocking mode holds
-/// one worker per live connection; evented mode uses them as batch workers).
-pub fn net_config(mode: ServerMode, connection_threads: usize) -> ServerConfig {
-    ServerConfig { mode, connection_threads, ..ServerConfig::default() }
+/// One case of the net harness: which poller backend the server runs on
+/// and what load sits on it while the scenario runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ServerCase {
+    /// The platform poller backend (epoll on Linux), default config.
+    Evented,
+    /// The portable poll(2) fallback (`force_poll_backend: true`).
+    Poll,
+    /// The platform backend with [`BLOCKING_CASE_WORKERS`] batch workers
+    /// while [`BLOCKING_CASE_PEERS`] idle peers hold connections open and
+    /// never write — the blocked-connection load under which a server that
+    /// pins a worker per connection stops answering anyone else.
+    Blocking,
 }
 
-/// Binds an ephemeral loopback server over `map` in the given mode.
-pub fn spawn_server(map: Arc<StoreMap>, mode: ServerMode, connection_threads: usize) -> HistServer {
-    HistServer::bind("127.0.0.1:0", map, net_config(mode, connection_threads))
-        .expect("ephemeral bind")
+/// Batch workers of the [`ServerCase::Blocking`] server.
+pub const BLOCKING_CASE_WORKERS: usize = 2;
+/// Silent peers parked on the [`ServerCase::Blocking`] server: more than
+/// its workers.
+pub const BLOCKING_CASE_PEERS: usize = 4;
+
+/// The shared server config of the net suites: everything default except
+/// what the case selects.
+pub fn net_config(case: ServerCase) -> ServerConfig {
+    match case {
+        ServerCase::Evented => ServerConfig::default(),
+        ServerCase::Poll => ServerConfig { force_poll_backend: true, ..ServerConfig::default() },
+        ServerCase::Blocking => {
+            ServerConfig { connection_threads: BLOCKING_CASE_WORKERS, ..ServerConfig::default() }
+        }
+    }
 }
 
-/// Expands `fn $name(mode: ServerMode)` into `$name::blocking` and
-/// `$name::evented` test cases — the dual-mode harness every net suite runs
-/// its whole body through.
+/// A server bound for one harness case, plus the idle peers that case
+/// parks on it for the server's whole life. Derefs to the [`HistServer`].
+pub struct CaseServer {
+    server: HistServer,
+    _idle_peers: Vec<TcpStream>,
+}
+
+impl Deref for CaseServer {
+    type Target = HistServer;
+
+    fn deref(&self) -> &HistServer {
+        &self.server
+    }
+}
+
+impl DerefMut for CaseServer {
+    fn deref_mut(&mut self) -> &mut HistServer {
+        &mut self.server
+    }
+}
+
+/// Binds an ephemeral loopback server over `map` with `config` (normally
+/// built from [`net_config`]) and opens the case's idle peers against it.
+pub fn bind_server(map: Arc<StoreMap>, config: ServerConfig, case: ServerCase) -> CaseServer {
+    let server = HistServer::bind("127.0.0.1:0", map, config).expect("ephemeral bind");
+    let peers = if case == ServerCase::Blocking { BLOCKING_CASE_PEERS } else { 0 };
+    let idle_peers = (0..peers)
+        .map(|_| TcpStream::connect(server.local_addr()).expect("idle peer connects"))
+        .collect();
+    CaseServer { server, _idle_peers: idle_peers }
+}
+
+/// Binds an ephemeral loopback server over `map` for the given case.
+pub fn spawn_server(map: Arc<StoreMap>, case: ServerCase) -> CaseServer {
+    bind_server(map, net_config(case), case)
+}
+
+/// Expands `fn $name(case: ServerCase)` into `$name::evented`, `$name::poll`
+/// and `$name::blocking` test cases (see [`ServerCase`]) — the harness every
+/// net suite runs its whole body through.
 #[macro_export]
 macro_rules! for_each_server_mode {
     ($($name:ident),+ $(,)?) => {
         $(
             mod $name {
                 #[test]
-                fn blocking() {
-                    super::$name(approx_hist::ServerMode::Blocking);
+                fn evented() {
+                    super::$name($crate::common::ServerCase::Evented);
                 }
                 #[test]
-                fn evented() {
-                    super::$name(approx_hist::ServerMode::Evented);
+                fn poll() {
+                    super::$name($crate::common::ServerCase::Poll);
+                }
+                #[test]
+                fn blocking() {
+                    super::$name($crate::common::ServerCase::Blocking);
                 }
             }
         )+

@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use approx_hist::{
     encode_synopsis, ErrorCode, Estimator, EstimatorBuilder, FittedModel, GreedyMerging,
-    HistClient, Histogram, Interval, NetError, ServerMode, Signal, StoreMap, Synopsis, DEFAULT_KEY,
+    HistClient, Histogram, Interval, NetError, Signal, StoreMap, Synopsis, DEFAULT_KEY,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -36,7 +36,7 @@ use rand::{Rng, SeedableRng};
 /// Piece budget every wire merge re-merges down to (`2k + 1` for fixture `k`).
 const BUDGET: usize = 2 * common::FIXTURE_K + 1;
 
-use common::spawn_server;
+use common::{spawn_server, ServerCase};
 
 fn chunk(seed: u64) -> Synopsis {
     let estimator = GreedyMerging::new(EstimatorBuilder::new(common::FIXTURE_K));
@@ -58,8 +58,8 @@ fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
-fn keyed_answers_are_bit_identical_to_local_fits(mode: ServerMode) {
-    let mut server = spawn_server(Arc::new(StoreMap::new()), mode, 2);
+fn keyed_answers_are_bit_identical_to_local_fits(case: ServerCase) {
+    let mut server = spawn_server(Arc::new(StoreMap::new()), case);
     let mut client = HistClient::connect(server.local_addr()).unwrap();
     let mut rng = StdRng::seed_from_u64(0x2015_600D);
 
@@ -112,9 +112,9 @@ fn keyed_answers_are_bit_identical_to_local_fits(mode: ServerMode) {
     server.shutdown();
 }
 
-fn the_key_lifecycle_works_over_the_wire(mode: ServerMode) {
+fn the_key_lifecycle_works_over_the_wire(case: ServerCase) {
     let map = Arc::new(StoreMap::new());
-    let mut server = spawn_server(Arc::clone(&map), mode, 2);
+    let mut server = spawn_server(Arc::clone(&map), case);
     let mut client = HistClient::connect(server.local_addr()).unwrap();
 
     for (i, key) in ["api/login", "api/search", "jobs/nightly"].iter().enumerate() {
@@ -166,9 +166,9 @@ fn the_key_lifecycle_works_over_the_wire(mode: ServerMode) {
     server.shutdown();
 }
 
-fn missing_and_unserved_keys_are_typed_errors(mode: ServerMode) {
+fn missing_and_unserved_keys_are_typed_errors(case: ServerCase) {
     let map = Arc::new(StoreMap::new());
-    let mut server = spawn_server(Arc::clone(&map), mode, 2);
+    let mut server = spawn_server(Arc::clone(&map), case);
     let mut client = HistClient::connect(server.local_addr()).unwrap();
 
     // An empty map: the default key is "empty store", an absent named key is
@@ -209,9 +209,9 @@ fn missing_and_unserved_keys_are_typed_errors(mode: ServerMode) {
     server.shutdown();
 }
 
-fn a_v1_client_is_served_correctly_by_a_v2_server(mode: ServerMode) {
+fn a_v1_client_is_served_correctly_by_a_v2_server(case: ServerCase) {
     let map = Arc::new(StoreMap::new());
-    let mut server = spawn_server(Arc::clone(&map), mode, 3);
+    let mut server = spawn_server(Arc::clone(&map), case);
     let addr = server.local_addr();
 
     let mut v1 = HistClient::connect(addr).unwrap().with_protocol_version(1).unwrap();
@@ -268,7 +268,7 @@ fn hot_key(writer: usize, slot: usize) -> String {
     format!("hot/{writer}-{slot}")
 }
 
-fn a_hundred_thousand_keys_survive_concurrent_writers_and_readers(mode: ServerMode) {
+fn a_hundred_thousand_keys_survive_concurrent_writers_and_readers(case: ServerCase) {
     let _gate = common::stress_gate();
 
     // 100k cold tenants (never written during the stress), a hot set owned
@@ -285,7 +285,7 @@ fn a_hundred_thousand_keys_survive_concurrent_writers_and_readers(mode: ServerMo
     map.publish(DEFAULT_KEY, chunk(7_000)).unwrap();
     let default_local = map.snapshot(DEFAULT_KEY).unwrap().synopsis().as_ref().clone();
 
-    let mut server = spawn_server(Arc::clone(&map), mode, WRITERS + READERS + 3);
+    let mut server = spawn_server(Arc::clone(&map), case);
     let addr = server.local_addr();
     let done = Arc::new(AtomicBool::new(false));
     let deadline = Instant::now() + RUN_FOR;

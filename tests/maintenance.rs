@@ -39,10 +39,10 @@ use std::time::{Duration, Instant};
 
 use approx_hist::{
     Error, ErrorCode, Estimator, EstimatorBuilder, GreedyMerging, HistClient, HistServer,
-    MaintenancePolicy, MaintenanceWorker, NetError, ServerConfig, ServerMode, Signal, StoreMap,
-    Synopsis, SynopsisStore,
+    MaintenancePolicy, MaintenanceWorker, NetError, ServerConfig, Signal, StoreMap, Synopsis,
+    SynopsisStore,
 };
-use common::{fixture_builder, noisy_steps, spawn_server, split_chunks, FIXTURE_K};
+use common::{fixture_builder, noisy_steps, spawn_server, split_chunks, ServerCase, FIXTURE_K};
 
 /// Piece budget merges re-merge down to, and the default compaction target.
 const BUDGET: usize = 2 * FIXTURE_K + 1;
@@ -346,8 +346,8 @@ fn a_failed_merge_never_creates_a_phantom_key() {
     assert_eq!(map.keys(), vec!["tenants/real".to_string()]);
 }
 
-fn failed_wire_merges_leave_no_phantom_key(mode: ServerMode) {
-    let server = spawn_server(Arc::new(StoreMap::new()), mode, 2);
+fn failed_wire_merges_leave_no_phantom_key(case: ServerCase) {
+    let server = spawn_server(Arc::new(StoreMap::new()), case);
     let mut client =
         HistClient::connect(server.local_addr()).unwrap().with_key("tenants/ghost").unwrap();
 
@@ -371,15 +371,14 @@ fn failed_wire_merges_leave_no_phantom_key(mode: ServerMode) {
 // Maintenance over the wire.
 // ---------------------------------------------------------------------------
 
-fn maintenance_counters_and_refits_flow_over_the_wire(mode: ServerMode) {
+fn maintenance_counters_and_refits_flow_over_the_wire(case: ServerCase) {
     let config = ServerConfig {
-        mode,
         connection_threads: 2,
         maintenance: Some(hair_trigger()),
         maintenance_threads: 1,
-        ..ServerConfig::default()
+        ..common::net_config(case)
     };
-    let server = HistServer::bind("127.0.0.1:0", Arc::new(StoreMap::new()), config).unwrap();
+    let server = common::bind_server(Arc::new(StoreMap::new()), config, case);
     let mut client =
         HistClient::connect(server.local_addr()).unwrap().with_key("tenants/api").unwrap();
 
@@ -453,7 +452,7 @@ fn an_unresponsive_server_read_times_out_with_a_typed_error() {
 
 #[test]
 fn connect_timeouts_are_typed_and_the_happy_path_connects() {
-    let server = spawn_server(Arc::new(StoreMap::new()), ServerMode::Blocking, 1);
+    let server = spawn_server(Arc::new(StoreMap::new()), ServerCase::Evented);
 
     // Happy path: a generous deadline connects and serves normally.
     let mut client =

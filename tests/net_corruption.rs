@@ -5,7 +5,7 @@
 //! typed error frame (or cleanly close the connection) — and never panic,
 //! hang, or allocate at the attacker's command.
 //!
-//! A server-side panic cannot hide: connection handlers run on the
+//! A server-side panic cannot hide: request batches run on the
 //! `hist-serve` pool, whose drop re-panics if any worker died, so the final
 //! `drop(server)` in each test doubles as the no-panic assertion. After
 //! every hostile sweep a well-formed request must still be answered — the
@@ -24,9 +24,10 @@ use approx_hist::net::{
 };
 use approx_hist::persist::crc32;
 use approx_hist::{
-    Estimator, EstimatorBuilder, GreedyMerging, HistClient, HistServer, NetError, ServerMode,
-    Signal, StoreMap, DEFAULT_KEY,
+    Estimator, EstimatorBuilder, GreedyMerging, HistClient, HistServer, NetError, Signal, StoreMap,
+    DEFAULT_KEY,
 };
+use common::{CaseServer, ServerCase};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -38,9 +39,9 @@ fn served_synopsis() -> approx_hist::Synopsis {
         .unwrap()
 }
 
-fn spawn_server(mode: ServerMode) -> HistServer {
+fn spawn_server(case: ServerCase) -> CaseServer {
     let map = Arc::new(StoreMap::with_initial(served_synopsis()));
-    common::spawn_server(map, mode, 4)
+    common::spawn_server(map, case)
 }
 
 /// A benign request whose answer proves the server is still alive.
@@ -105,8 +106,8 @@ fn assert_all_errors(responses: &[Response], context: &str) {
     }
 }
 
-fn truncation_at_every_prefix_length_closes_cleanly_or_errors(mode: ServerMode) {
-    let mut server = spawn_server(mode);
+fn truncation_at_every_prefix_length_closes_cleanly_or_errors(case: ServerCase) {
+    let mut server = spawn_server(case);
     let requests = [
         approx_hist::net::encode_request(&Request::CdfBatch {
             key: DEFAULT_KEY.into(),
@@ -132,8 +133,8 @@ fn truncation_at_every_prefix_length_closes_cleanly_or_errors(mode: ServerMode) 
     server.shutdown(); // re-panics if any handler panicked
 }
 
-fn single_byte_flips_at_every_offset_are_contained(mode: ServerMode) {
-    let mut server = spawn_server(mode);
+fn single_byte_flips_at_every_offset_are_contained(case: ServerCase) {
+    let mut server = spawn_server(case);
     let message = approx_hist::net::encode_request(&Request::CdfBatch {
         key: DEFAULT_KEY.into(),
         xs: vec![3, 200],
@@ -160,8 +161,8 @@ fn single_byte_flips_at_every_offset_are_contained(mode: ServerMode) {
     server.shutdown();
 }
 
-fn forged_lengths_counts_ops_and_versions_are_typed_errors(mode: ServerMode) {
-    let mut server = spawn_server(mode);
+fn forged_lengths_counts_ops_and_versions_are_typed_errors(case: ServerCase) {
+    let mut server = spawn_server(case);
 
     // A length prefix announcing ~2 GiB: rejected before any allocation,
     // answered with FrameTooLarge, connection closed.
@@ -216,12 +217,11 @@ fn forged_lengths_counts_ops_and_versions_are_typed_errors(mode: ServerMode) {
     assert!(matches!(&responses[1], Response::QuantileBatch { .. }));
 
     // A server configured with a small frame limit enforces *its* limit.
-    let small = HistServer::bind(
-        "127.0.0.1:0",
+    let small = common::bind_server(
         Arc::new(StoreMap::with_initial(served_synopsis())),
-        approx_hist::ServerConfig { max_frame_bytes: 256, ..common::net_config(mode, 4) },
-    )
-    .unwrap();
+        approx_hist::ServerConfig { max_frame_bytes: 256, ..common::net_config(case) },
+        case,
+    );
     let big_batch = approx_hist::net::encode_request(&Request::CdfBatch {
         key: DEFAULT_KEY.into(),
         xs: vec![1; 4096],
@@ -235,8 +235,8 @@ fn forged_lengths_counts_ops_and_versions_are_typed_errors(mode: ServerMode) {
     server.shutdown();
 }
 
-fn invalid_queries_and_synopses_are_typed_errors_on_a_live_connection(mode: ServerMode) {
-    let mut server = spawn_server(mode);
+fn invalid_queries_and_synopses_are_typed_errors_on_a_live_connection(case: ServerCase) {
+    let mut server = spawn_server(case);
     let mut client = HistClient::connect(server.local_addr()).unwrap();
 
     // Out-of-domain index / fraction / range: InvalidQuery, connection kept.
@@ -279,8 +279,8 @@ fn invalid_queries_and_synopses_are_typed_errors_on_a_live_connection(mode: Serv
     server.shutdown();
 }
 
-fn queries_against_an_empty_store_get_typed_empty_store_errors(mode: ServerMode) {
-    let mut server = common::spawn_server(Arc::new(StoreMap::new()), mode, 4);
+fn queries_against_an_empty_store_get_typed_empty_store_errors(case: ServerCase) {
+    let mut server = common::spawn_server(Arc::new(StoreMap::new()), case);
     let mut client = HistClient::connect(server.local_addr()).unwrap();
     for result in [
         client.cdf_batch(&[0]).map(|_| ()),
@@ -302,8 +302,8 @@ fn queries_against_an_empty_store_get_typed_empty_store_errors(mode: ServerMode)
     server.shutdown();
 }
 
-fn seeded_random_soup_never_kills_the_server(mode: ServerMode) {
-    let mut server = spawn_server(mode);
+fn seeded_random_soup_never_kills_the_server(case: ServerCase) {
+    let mut server = spawn_server(case);
     let mut rng = StdRng::seed_from_u64(0x000B_AD50_CCE7);
     for round in 0..150 {
         let len = rng.gen_range(0..192);

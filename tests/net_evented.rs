@@ -1,23 +1,27 @@
-//! Evented-server suite: the behaviors the readiness-loop mode adds on top
-//! of byte-level equivalence (which the dual-mode `net_serve`/`keyed_serve`/
-//! `net_corruption` suites already prove):
+//! Event-loop suite: the socket-level behaviors of the server's readiness
+//! loop, on top of the protocol coverage of the `net_serve`/`keyed_serve`/
+//! `net_corruption` suites. Like those, every harness scenario runs against
+//! both poller backends (platform epoll and forced poll(2)) and once more on
+//! epoll with idle peers parked on a two-worker pool:
 //!
 //! * **Pipelining** — N requests written in one syscall come back as N
 //!   in-order responses, including interleaved keyed admin ops; a request
 //!   budget exceeded mid-pipeline answers every in-budget request before
 //!   the terminal `RequestLimit` frame.
 //! * **Torture** — frames split at every byte boundary (the short-read
-//!   audit's regression net, run against BOTH modes), one-byte-at-a-time
-//!   writers, and a slow reader that forces the server through partial
-//!   vectored writes.
+//!   audit's regression net), one-byte-at-a-time writers, and a slow reader
+//!   that forces the server through partial vectored writes.
 //! * **Lifecycle** — idle connections don't wedge the loop, mid-frame
 //!   disconnects (both clean half-close and hard drop) are contained.
+//! * **Fairness** — idle connections never hold a batch worker, so a fresh
+//!   client is answered even when idle sockets outnumber the workers.
+//! * **Descriptor exhaustion** — with the fd table full and peers queued in
+//!   the accept backlog, the loop idles instead of spinning, and serves
+//!   again once descriptors free up.
 //! * **Scale** — a 1024-connection soak under a live writer: zero lost
 //!   responses, per-connection epoch monotonicity.
 //! * **Buffer reuse** — the write path performs zero allocations across a
-//!   warmed-up steady state, via the server's debug counter.
-//! * **Fallback** — the portable poll(2) backend serves identically to the
-//!   platform epoll backend.
+//!   warmed-up steady state, via the server's write-path counter.
 
 mod common;
 
@@ -25,13 +29,13 @@ use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use approx_hist::net::{encode_request, read_message, Request, Response, DEFAULT_MAX_FRAME_BYTES};
 use approx_hist::{
-    Estimator, EstimatorBuilder, GreedyMerging, HistServer, ServerMode, Signal, StoreMap, Synopsis,
-    DEFAULT_KEY,
+    Estimator, EstimatorBuilder, GreedyMerging, HistClient, Signal, StoreMap, Synopsis, DEFAULT_KEY,
 };
+use common::{CaseServer, ServerCase};
 
 /// The synopsis every test serves and checks answers against.
 fn served_synopsis() -> Synopsis {
@@ -41,8 +45,8 @@ fn served_synopsis() -> Synopsis {
         .unwrap()
 }
 
-fn spawn(mode: ServerMode) -> HistServer {
-    common::spawn_server(Arc::new(StoreMap::with_initial(served_synopsis())), mode, 4)
+fn spawn(case: ServerCase) -> CaseServer {
+    common::spawn_server(Arc::new(StoreMap::with_initial(served_synopsis())), case)
 }
 
 fn quantile_request(p: f64) -> Vec<u8> {
@@ -80,8 +84,8 @@ fn read_until_eof(stream: &mut TcpStream) -> Vec<Response> {
     responses
 }
 
-fn pipelined_requests_in_one_write_come_back_in_order(mode: ServerMode) {
-    let mut server = spawn(mode);
+fn pipelined_requests_in_one_write_come_back_in_order(case: ServerCase) {
+    let mut server = spawn(case);
     let local = served_synopsis();
     let n = 32;
 
@@ -109,8 +113,8 @@ fn pipelined_requests_in_one_write_come_back_in_order(mode: ServerMode) {
     server.shutdown();
 }
 
-fn interleaved_keyed_ops_pipeline_in_order(mode: ServerMode) {
-    let mut server = spawn(mode);
+fn interleaved_keyed_ops_pipeline_in_order(case: ServerCase) {
+    let mut server = spawn(case);
     let blob = approx_hist::encode_synopsis(&served_synopsis());
 
     // Admin writes and queries interleaved across keys, one write call; the
@@ -148,11 +152,11 @@ fn interleaved_keyed_ops_pipeline_in_order(mode: ServerMode) {
     server.shutdown();
 }
 
-fn frames_split_at_every_byte_boundary_still_answer(mode: ServerMode) {
+fn frames_split_at_every_byte_boundary_still_answer(case: ServerCase) {
     // The short-read audit's regression net: a frame arriving in two
     // arbitrarily split pieces (with a delay forcing the server to observe
     // the boundary) must decode exactly like an unsplit one.
-    let mut server = spawn(mode);
+    let mut server = spawn(case);
     let local = served_synopsis();
     let message = quantile_request(0.375);
     let expected = local.quantile(0.375).unwrap() as u64;
@@ -175,11 +179,11 @@ fn frames_split_at_every_byte_boundary_still_answer(mode: ServerMode) {
     server.shutdown();
 }
 
-fn one_byte_writes_across_three_pipelined_frames(mode: ServerMode) {
+fn one_byte_writes_across_three_pipelined_frames(case: ServerCase) {
     // The pathological slow client: three pipelined requests dribbled one
     // byte per write. The server must reassemble all frame boundaries and
     // answer all three, in order.
-    let mut server = spawn(mode);
+    let mut server = spawn(case);
     let local = served_synopsis();
     let ps = [0.125, 0.5, 0.875];
     let wire: Vec<u8> = ps.iter().flat_map(|&p| quantile_request(p)).collect();
@@ -201,11 +205,11 @@ fn one_byte_writes_across_three_pipelined_frames(mode: ServerMode) {
     server.shutdown();
 }
 
-fn a_slow_reader_forces_partial_writes_without_loss(mode: ServerMode) {
+fn a_slow_reader_forces_partial_writes_without_loss(case: ServerCase) {
     // Big pipelined responses against a reader that drains slowly: the
     // socket's send buffer fills, the server sees short/blocked writes, and
     // must still deliver every byte of every frame in order.
-    let mut server = spawn(mode);
+    let mut server = spawn(case);
     let local = served_synopsis();
     let n = local.domain();
     // ~64 KiB per response x 32 pipelined rounds = ~2 MiB of queued answers,
@@ -258,15 +262,15 @@ fn a_slow_reader_forces_partial_writes_without_loss(mode: ServerMode) {
     server.shutdown();
 }
 
-fn budget_exhaustion_mid_pipeline_answers_then_closes(mode: ServerMode) {
+fn budget_exhaustion_mid_pipeline_answers_then_closes(case: ServerCase) {
     // Budget 3, five pipelined requests: the first three get real answers,
     // the fourth gets the terminal RequestLimit frame — sequenced after the
     // in-budget responses — and the stream closes. The fifth is never
     // answered.
     let map = Arc::new(StoreMap::with_initial(served_synopsis()));
     let config =
-        approx_hist::ServerConfig { max_requests_per_connection: 3, ..common::net_config(mode, 4) };
-    let mut server = HistServer::bind("127.0.0.1:0", map, config).unwrap();
+        approx_hist::ServerConfig { max_requests_per_connection: 3, ..common::net_config(case) };
+    let mut server = common::bind_server(map, config, case);
     let wire: Vec<u8> = (0..5).flat_map(|i| quantile_request(i as f64 / 4.0)).collect();
 
     let mut stream = connect(server.local_addr());
@@ -288,8 +292,8 @@ fn budget_exhaustion_mid_pipeline_answers_then_closes(mode: ServerMode) {
     server.shutdown();
 }
 
-fn idle_connections_and_mid_frame_disconnects_are_contained(mode: ServerMode) {
-    let mut server = spawn(mode);
+fn idle_connections_and_mid_frame_disconnects_are_contained(case: ServerCase) {
+    let mut server = spawn(case);
     let addr = server.local_addr();
     let message = quantile_request(0.5);
 
@@ -337,42 +341,12 @@ for_each_server_mode!(
 );
 
 #[test]
-fn the_poll_backend_serves_identically_to_the_platform_backend() {
-    // Force the portable poll(2) fallback and replay the pipelining check:
-    // backend selection must be invisible on the wire.
-    let map = Arc::new(StoreMap::with_initial(served_synopsis()));
-    let config = approx_hist::ServerConfig {
-        force_poll_backend: true,
-        ..common::net_config(ServerMode::Evented, 4)
-    };
-    let mut server = HistServer::bind("127.0.0.1:0", map, config).unwrap();
-    assert_eq!(server.mode(), ServerMode::Evented);
-    let local = served_synopsis();
-
-    let ps = [0.0, 0.25, 0.5, 0.75, 1.0];
-    let wire: Vec<u8> = ps.iter().flat_map(|&p| quantile_request(p)).collect();
-    let mut stream = connect(server.local_addr());
-    stream.write_all(&wire).unwrap();
-    let responses = read_responses(&mut stream, ps.len());
-    for (response, &p) in responses.iter().zip(&ps) {
-        match response {
-            Response::QuantileBatch { indices, .. } => {
-                assert_eq!(indices, &[local.quantile(p).unwrap() as u64])
-            }
-            other => panic!("got {other:?}"),
-        }
-    }
-    drop(stream);
-    server.shutdown();
-}
-
-#[test]
 fn the_response_write_path_does_not_allocate_in_steady_state() {
     // The buffer-reuse guarantee, asserted through the server's own debug
     // counter: after a warm-up phase at a fixed pipelining depth, thousands
     // more identical request/response cycles must not allocate on the write
     // path at all.
-    let mut server = spawn(ServerMode::Evented);
+    let mut server = spawn(ServerCase::Evented);
     let depth = 8usize;
     let wire: Vec<u8> =
         (0..depth).flat_map(|i| quantile_request(i as f64 / (depth - 1) as f64)).collect();
@@ -382,13 +356,13 @@ fn the_response_write_path_does_not_allocate_in_steady_state() {
         stream.write_all(&wire).unwrap();
         read_responses(&mut stream, depth);
     }
-    let warmed = server.write_path_allocations().expect("evented mode counts");
+    let warmed = server.write_path_allocations();
 
     for _ in 0..500 {
         stream.write_all(&wire).unwrap();
         read_responses(&mut stream, depth);
     }
-    let after = server.write_path_allocations().expect("evented mode counts");
+    let after = server.write_path_allocations();
     assert_eq!(
         after,
         warmed,
@@ -400,11 +374,119 @@ fn the_response_write_path_does_not_allocate_in_steady_state() {
 }
 
 #[test]
-fn blocking_mode_reports_no_write_path_counter() {
-    let mut server = spawn(ServerMode::Blocking);
-    assert_eq!(server.mode(), ServerMode::Blocking);
-    assert_eq!(server.write_path_allocations(), None);
+fn idle_sockets_outnumbering_the_workers_never_starve_a_fresh_client() {
+    // The harness's blocking case parks four silent connections on two
+    // batch workers: a worker is held only while a batch runs, never for a
+    // connection's lifetime, so a fresh client is answered at once.
+    let mut server = spawn(ServerCase::Blocking);
+    std::thread::sleep(Duration::from_millis(50));
+
+    let started = Instant::now();
+    let mut client = HistClient::connect(server.local_addr())
+        .unwrap()
+        .with_read_timeout(Some(Duration::from_secs(1)))
+        .unwrap();
+    let answer = client.quantile_batch(&[0.5]).expect("answered despite idle sockets");
+    assert_eq!(answer.value, served_synopsis().quantile_batch(&[0.5]).unwrap());
+    assert!(started.elapsed() < Duration::from_secs(1), "took {:?}", started.elapsed());
+    drop(client);
     server.shutdown();
+}
+
+/// The line prefix the descriptor-exhaustion child announces its address on.
+const CHILD_ADDR_PREFIX: &str = "child serving on ";
+
+/// The server half of the descriptor-exhaustion test, run in a child
+/// process under a lowered fd limit: serves until its stdin closes (or for
+/// at most a minute when run by hand).
+#[test]
+#[ignore = "child process of descriptor_exhaustion_idles_the_loop_and_then_recovers"]
+fn descriptor_exhaustion_child_server() {
+    let mut server = spawn(ServerCase::Evented);
+    println!("{CHILD_ADDR_PREFIX}{}", server.local_addr());
+    let (closed, stdin_closed) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = std::io::stdin().read_to_end(&mut Vec::new());
+        let _ = closed.send(());
+    });
+    let _ = stdin_closed.recv_timeout(Duration::from_secs(60));
+    server.shutdown();
+}
+
+/// CPU time (user + system, in seconds) the process `pid` has used so far,
+/// from `/proc/<pid>/stat` (fields 14 and 15, in USER_HZ = 100 ticks).
+#[cfg(target_os = "linux")]
+fn cpu_seconds(pid: u32) -> f64 {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).expect("child stat");
+    // Fields after the parenthesised command name start at field 3.
+    let fields: Vec<&str> = stat[stat.rfind(')').expect("comm") + 2..].split(' ').collect();
+    let ticks: u64 = fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap();
+    ticks as f64 / 100.0
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn descriptor_exhaustion_idles_the_loop_and_then_recovers() {
+    use std::io::{BufRead, BufReader};
+    use std::process::{Child, Command, Stdio};
+
+    /// Kills the child on every exit path, panics included.
+    struct Reap(Child);
+    impl Drop for Reap {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+
+    // Re-run this test binary as a server whose fd limit (64) is lowered
+    // for the child alone.
+    let mut child = Reap(
+        Command::new("sh")
+            .args(["-c", "ulimit -n 64 && exec \"$0\" \"$@\""])
+            .arg(std::env::current_exe().unwrap())
+            .args(["descriptor_exhaustion_child_server", "--exact", "--ignored", "--nocapture"])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn child server"),
+    );
+    let pid = child.0.id();
+    let mut stdout = BufReader::new(child.0.stdout.take().unwrap());
+    let addr: SocketAddr = loop {
+        let mut line = String::new();
+        assert!(stdout.read_line(&mut line).unwrap() > 0, "child exited before serving");
+        if let Some(addr) = line.trim().strip_prefix(CHILD_ADDR_PREFIX) {
+            break addr.parse().unwrap();
+        }
+    };
+
+    // 150 connections that never speak: the child accepts until its fd
+    // table is full and the rest wait in the accept backlog, leaving the
+    // level-triggered listener readable the whole time.
+    let peers: Vec<TcpStream> = (0..150)
+        .map(|_| TcpStream::connect_timeout(&addr, Duration::from_secs(5)).expect("peer"))
+        .collect();
+    std::thread::sleep(Duration::from_millis(300));
+    let open_fds = std::fs::read_dir(format!("/proc/{pid}/fd")).unwrap().count();
+    assert!(open_fds >= 60, "the child's fd table never filled ({open_fds} open)");
+
+    let (cpu_before, wall) = (cpu_seconds(pid), Instant::now());
+    std::thread::sleep(Duration::from_secs(2));
+    let cpu = cpu_seconds(pid) - cpu_before;
+    let wall = wall.elapsed().as_secs_f64();
+    assert!(cpu <= 0.1 * wall, "the exhausted loop burned {cpu:.2} s of CPU in {wall:.2} s");
+
+    // Once the peers leave, descriptors free up and a fresh client is served.
+    drop(peers);
+    let mut client =
+        HistClient::connect(addr).unwrap().with_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let answer = client.quantile_batch(&[0.5]).expect("served after recovery");
+    assert_eq!(answer.value, served_synopsis().quantile_batch(&[0.5]).unwrap());
+    drop(client);
+    drop(child.0.stdin.take());
+    assert!(child.0.wait().unwrap().success(), "child server failed");
 }
 
 const SOAK_CONNS: usize = 1024;
@@ -415,7 +497,7 @@ const SOAK_REQUESTS_PER_CONN: usize = 4;
 fn a_1024_connection_soak_loses_nothing_and_keeps_epochs_monotone() {
     let _gate = common::stress_gate();
     let map = Arc::new(StoreMap::with_initial(served_synopsis()));
-    let mut server = common::spawn_server(Arc::clone(&map), ServerMode::Evented, 4);
+    let mut server = common::spawn_server(Arc::clone(&map), ServerCase::Evented);
     let addr = server.local_addr();
 
     let stop_writer = Arc::new(AtomicBool::new(false));

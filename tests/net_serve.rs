@@ -19,10 +19,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use approx_hist::{
-    ErrorCode, Estimator, EstimatorBuilder, GreedyMerging, HistClient, HistServer, Interval,
-    NetError, ServerMode, Signal, StoreMap, Synopsis, DEFAULT_KEY,
+    ErrorCode, Estimator, EstimatorBuilder, GreedyMerging, HistClient, Interval, NetError, Signal,
+    StoreMap, Synopsis, DEFAULT_KEY,
 };
-use common::spawn_server;
+use common::{spawn_server, ServerCase};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -46,8 +46,8 @@ fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
-fn loopback_round_trip_is_bit_identical_for_every_estimator_kind(mode: ServerMode) {
-    let mut server = spawn_server(Arc::new(StoreMap::new()), mode, 2);
+fn loopback_round_trip_is_bit_identical_for_every_estimator_kind(case: ServerCase) {
+    let mut server = spawn_server(Arc::new(StoreMap::new()), case);
     let mut client = HistClient::connect(server.local_addr()).unwrap();
     let mut rng = StdRng::seed_from_u64(0x2015_0BEE);
 
@@ -113,12 +113,10 @@ fn loopback_round_trip_is_bit_identical_for_every_estimator_kind(mode: ServerMod
     server.shutdown();
 }
 
-fn empty_and_singleton_batches_work_through_the_network_path(mode: ServerMode) {
-    // Regression companion to the QueryExecutor empty-slice fix: the server
-    // routes batch queries through the executor, so the degenerate batches
-    // must round-trip the wire too.
+fn empty_and_singleton_batches_work_through_the_network_path(case: ServerCase) {
+    // Degenerate batches must round-trip the wire like any other.
     let map = Arc::new(StoreMap::with_initial(chunk(1)));
-    let mut server = spawn_server(map, mode, 2);
+    let mut server = spawn_server(map, case);
     let mut client = HistClient::connect(server.local_addr()).unwrap();
     let local = server.store_map().snapshot(DEFAULT_KEY).unwrap();
 
@@ -141,13 +139,13 @@ fn empty_and_singleton_batches_work_through_the_network_path(mode: ServerMode) {
     server.shutdown();
 }
 
-fn non_finite_fractions_come_back_as_invalid_query_errors(mode: ServerMode) {
+fn non_finite_fractions_come_back_as_invalid_query_errors(case: ServerCase) {
     // Regression companion to the Synopsis finiteness fix: a hostile client
     // shipping NaN/±inf fractions must get the typed InvalidQuery error over
     // the wire — with the finiteness diagnosis in the message — and the
     // connection must stay usable afterwards.
     let map = Arc::new(StoreMap::with_initial(chunk(3)));
-    let mut server = spawn_server(map, mode, 2);
+    let mut server = spawn_server(map, case);
     let mut client = HistClient::connect(server.local_addr()).unwrap();
 
     for p in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
@@ -167,11 +165,11 @@ fn non_finite_fractions_come_back_as_invalid_query_errors(mode: ServerMode) {
     server.shutdown();
 }
 
-fn per_connection_request_limits_are_enforced(mode: ServerMode) {
+fn per_connection_request_limits_are_enforced(case: ServerCase) {
     let map = Arc::new(StoreMap::with_initial(chunk(2)));
     let config =
-        approx_hist::ServerConfig { max_requests_per_connection: 3, ..common::net_config(mode, 2) };
-    let mut server = HistServer::bind("127.0.0.1:0", map, config).unwrap();
+        approx_hist::ServerConfig { max_requests_per_connection: 3, ..common::net_config(case) };
+    let mut server = common::bind_server(map, config, case);
 
     let mut client = HistClient::connect(server.local_addr()).unwrap();
     for _ in 0..3 {
@@ -191,9 +189,9 @@ fn per_connection_request_limits_are_enforced(mode: ServerMode) {
     server.shutdown();
 }
 
-fn shutdown_is_graceful_and_idempotent(mode: ServerMode) {
+fn shutdown_is_graceful_and_idempotent(case: ServerCase) {
     let map = Arc::new(StoreMap::with_initial(chunk(3)));
-    let mut server = spawn_server(map, mode, 2);
+    let mut server = spawn_server(map, case);
     let addr = server.local_addr();
 
     // An idle connection is open while the server shuts down; shutdown must
@@ -212,14 +210,12 @@ fn shutdown_is_graceful_and_idempotent(mode: ServerMode) {
     assert!(idle.stats().is_err());
 }
 
-fn loopback_queries_ride_over_live_merge_updates(mode: ServerMode) {
+fn loopback_queries_ride_over_live_merge_updates(case: ServerCase) {
     let _gate = common::stress_gate();
     let map = Arc::new(StoreMap::with_initial(chunk(100)));
     let initial_epoch = map.epoch(DEFAULT_KEY);
     let initial_domain = map.snapshot(DEFAULT_KEY).unwrap().domain();
-    // Enough connection workers for every reader + the writer + health room:
-    // a connection holds its worker for its lifetime.
-    let mut server = spawn_server(Arc::clone(&map), mode, READERS + 2);
+    let mut server = spawn_server(Arc::clone(&map), case);
     let addr = server.local_addr();
 
     let done = Arc::new(AtomicBool::new(false));
